@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"securestore/internal/core"
 	"securestore/internal/server"
@@ -50,6 +51,19 @@ func run() error {
 		return err
 	}
 	fmt.Printf("dispersed %d bytes into 5 fragments (any %d reconstruct)\n", len(will), vault.K())
+
+	// Write returns once k+b replicas acknowledge. The faults injected
+	// below are two, one more than b tolerates, so first let the
+	// dispersal's trailing sends reach every replica.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, srv := range cluster.Servers {
+		for srv.Head("vault", "will") == nil {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("server %s never received its fragment", srv.ID())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// No single replica holds anything recognisable.
 	for _, srv := range cluster.Servers {

@@ -1,6 +1,8 @@
 package accessctl
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -104,4 +106,54 @@ func TestRightsHelpers(t *testing.T) {
 			t.Fatal("empty rights string")
 		}
 	}
+}
+
+// jsonSigningBytes is the encoding Token.SigningBytes must reproduce: the
+// json.Marshal rendering of the token with its signature cleared.
+func jsonSigningBytes(t testing.TB, tok Token) []byte {
+	t.Helper()
+	tok.Sig = nil
+	raw, err := json.Marshal(&tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestTokenSigningBytesMatchesJSON pins the hand-built signing encoding
+// to json.Marshal byte for byte, over the strings JSON escapes: HTML
+// characters, quotes and backslashes, every control character, non-ASCII
+// text, the JSONP line separators, and invalid UTF-8.
+func TestTokenSigningBytesMatchesJSON(t *testing.T) {
+	var controls []byte
+	for c := byte(0); c < 0x20; c++ {
+		controls = append(controls, c)
+	}
+	strs := []string{
+		"", "alice", "g", "<script>&amp;</script>", `quote " and \\ backslash`,
+		string(controls), "\x7f del", "héllo, 世界 🙂", "sep\u2028para\u2029end",
+		"bad \xff\xfe utf8 \xc3", "truncated \xe2\x82", "\ufffd literal",
+	}
+	for i, s := range strs {
+		tok := Token{
+			Issuer: s, Client: strs[(i+1)%len(strs)], Group: strs[(i+5)%len(strs)],
+			Rights: Rights(i - 3), Serial: uint64(i) << 60, Sig: []byte{1, 2, 3},
+		}
+		if got, want := tok.SigningBytes(), jsonSigningBytes(t, tok); !bytes.Equal(got, want) {
+			t.Fatalf("string %d: signing bytes\n got %q\nwant %q", i, got, want)
+		}
+	}
+}
+
+// FuzzTokenSigningBytes checks the hand-built encoding against
+// json.Marshal on arbitrary field values.
+func FuzzTokenSigningBytes(f *testing.F) {
+	f.Add("authority", "alice", "g", 3, uint64(1))
+	f.Add("<&>", "\"\\\n\x00", "\xff\u2028", -1, uint64(1<<63))
+	f.Fuzz(func(t *testing.T, issuer, client, group string, rights int, serial uint64) {
+		tok := Token{Issuer: issuer, Client: client, Group: group, Rights: Rights(rights), Serial: serial}
+		if got, want := tok.SigningBytes(), jsonSigningBytes(t, tok); !bytes.Equal(got, want) {
+			t.Fatalf("signing bytes\n got %q\nwant %q", got, want)
+		}
+	})
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"securestore/internal/checker"
+	"securestore/internal/server"
 	"securestore/internal/wire"
 )
 
@@ -69,7 +71,11 @@ func TestMultiGroupTopology(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frag read %s = %q, want %q", item, got, want)
 		}
-		// Fragments must not leak outside the owning group.
+		// Fragments must not leak outside the owning group. Write returns
+		// after k+b acks and fragments are not gossiped, so first wait
+		// (bounded) for the dispersal's trailing sends to reach every
+		// owning server.
+		waitHeld(t, cluster.GroupServers[cluster.Table.Place(item)], "g", item)
 		for gi, servers := range cluster.GroupServers {
 			owns := cluster.Table.Shards[gi].Name == shard
 			for _, srv := range servers {
@@ -100,6 +106,21 @@ func TestMultiGroupTopology(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("read %s = %q, want %q", item, got, want)
+		}
+	}
+}
+
+// waitHeld waits, up to a bounded deadline, until every server holds a
+// head for the item, failing the test if one never does.
+func waitHeld(t *testing.T, servers []*server.Server, group, item string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, srv := range servers {
+		for srv.Head(group, item) == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("server %s never received %s", srv.ID(), item)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -63,19 +63,20 @@ func (r *Keyring) VerifyBatch(items []BatchItem, m *metrics.Counters) []error {
 	type job struct {
 		idx    int
 		pub    ed25519.PublicKey
+		point  *edwards25519.Point
 		digest [32]byte
 		key    vcacheKey
 	}
 	jobs := make([]job, 0, len(items))
 	for i, it := range items {
-		pub, err := r.Lookup(it.Signer)
+		pub, point, err := r.lookupPoint(it.Signer)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		j := job{idx: i, pub: pub, digest: sha256.Sum256(it.Data)}
+		j := job{idx: i, pub: pub, point: point, digest: sha256.Sum256(it.Data)}
 		if cache != nil {
-			j.key = cache.key(it.Signer, it.Data, it.Sig)
+			j.key = cache.key(it.Signer, j.digest, it.Sig)
 			if cache.seen(j.key) {
 				m.AddVerifyCacheHit()
 				continue
@@ -109,7 +110,7 @@ func (r *Keyring) VerifyBatch(items []BatchItem, m *metrics.Counters) []error {
 		span := jobs[lo:hi]
 		sigs := make([]batchSig, len(span))
 		for i, j := range span {
-			sigs[i] = batchSig{pub: j.pub, digest: j.digest[:], sig: items[j.idx].Sig}
+			sigs[i] = batchSig{pub: j.pub, point: j.point, digest: j.digest[:], sig: items[j.idx].Sig}
 		}
 		ok, err := batchEquation(sigs)
 		if err != nil {
@@ -139,11 +140,12 @@ func (r *Keyring) VerifyBatch(items []BatchItem, m *metrics.Counters) []error {
 	return errs
 }
 
-// batchSig is one signature for batchEquation: the public key, the
-// message (here always a SHA-256 digest, per KeyPair.Sign), and the
-// 64-byte signature.
+// batchSig is one signature for batchEquation: the public key (with its
+// decompressed point when the keyring has one), the message (here always
+// a SHA-256 digest, per KeyPair.Sign), and the 64-byte signature.
 type batchSig struct {
 	pub    ed25519.PublicKey
+	point  *edwards25519.Point
 	digest []byte
 	sig    []byte
 }
@@ -188,9 +190,11 @@ func batchEquation(span []batchSig) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("signature %d: R: %w", i, err)
 		}
-		A, err := new(edwards25519.Point).SetBytes(item.pub)
-		if err != nil {
-			return false, fmt.Errorf("public key %d: %w", i, err)
+		A := item.point
+		if A == nil {
+			if A, err = new(edwards25519.Point).SetBytes(item.pub); err != nil {
+				return false, fmt.Errorf("public key %d: %w", i, err)
+			}
 		}
 		s, err := new(edwards25519.Scalar).SetCanonicalBytes(sigBytes[32:])
 		if err != nil {

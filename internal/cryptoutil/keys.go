@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"securestore/internal/edwards25519"
 	"securestore/internal/metrics"
 )
 
@@ -72,11 +73,15 @@ type Keyring struct {
 	mu    sync.RWMutex
 	keys  map[string]ed25519.PublicKey
 	cache *VerifyCache
+	// points holds each key decompressed to a curve point once, at
+	// registration, for the batch equation; a key that does not decode is
+	// absent, and batches carrying it fall back to per-item verification.
+	points map[string]*edwards25519.Point
 }
 
 // NewKeyring returns an empty keyring.
 func NewKeyring() *Keyring {
-	return &Keyring{keys: make(map[string]ed25519.PublicKey)}
+	return &Keyring{keys: make(map[string]ed25519.PublicKey), points: make(map[string]*edwards25519.Point)}
 }
 
 // EnableVerifyCache attaches a bounded LRU of successful verifications to
@@ -113,6 +118,9 @@ func (r *Keyring) Register(id string, pub ed25519.PublicKey) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateKey, id)
 	}
 	r.keys[id] = append(ed25519.PublicKey(nil), pub...)
+	if p, err := new(edwards25519.Point).SetBytes(pub); err == nil {
+		r.points[id] = p
+	}
 	return nil
 }
 
@@ -126,13 +134,20 @@ func (r *Keyring) MustRegister(id string, pub ed25519.PublicKey) {
 
 // Lookup returns the public key of the named principal.
 func (r *Keyring) Lookup(id string) (ed25519.PublicKey, error) {
+	pub, _, err := r.lookupPoint(id)
+	return pub, err
+}
+
+// lookupPoint returns the principal's public key and its decompressed
+// point (nil when the key does not decode).
+func (r *Keyring) lookupPoint(id string) (ed25519.PublicKey, *edwards25519.Point, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	pub, ok := r.keys[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPrincipal, id)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPrincipal, id)
 	}
-	return pub, nil
+	return pub, r.points[id], nil
 }
 
 // Principals returns the sorted identifiers of all registered principals.
@@ -157,10 +172,11 @@ func (r *Keyring) Verify(id string, data, sig []byte, m *metrics.Counters) error
 	if err != nil {
 		return err
 	}
+	digest := sha256.Sum256(data)
 	cache := r.verifyCache()
 	var key vcacheKey
 	if cache != nil {
-		key = cache.key(id, data, sig)
+		key = cache.key(id, digest, sig)
 		if cache.seen(key) {
 			m.AddVerifyCacheHit()
 			return nil
@@ -168,7 +184,6 @@ func (r *Keyring) Verify(id string, data, sig []byte, m *metrics.Counters) error
 		m.AddVerifyCacheMiss()
 	}
 	m.AddVerification()
-	digest := sha256.Sum256(data)
 	if !ed25519.Verify(pub, digest[:], sig) {
 		return fmt.Errorf("%w: principal %q", ErrBadSignature, id)
 	}

@@ -46,10 +46,11 @@ func NewVerifyCache(capacity int) *VerifyCache {
 	}
 }
 
-// key derives the cache key for a verification triple. The data and sig
-// are digested so entries are fixed-size regardless of message size.
-func (c *VerifyCache) key(signer string, data, sig []byte) vcacheKey {
-	return vcacheKey{data: sha256.Sum256(data), signer: signer, sig: sha256.Sum256(sig)}
+// key derives the cache key for a verification triple from the digest of
+// the signed data (which the verifier computes anyway, so the data is
+// hashed once) and the signature, digested so entries are fixed-size.
+func (c *VerifyCache) key(signer string, dataDigest [32]byte, sig []byte) vcacheKey {
+	return vcacheKey{data: dataDigest, signer: signer, sig: sha256.Sum256(sig)}
 }
 
 // seen reports whether the triple was verified before, refreshing its

@@ -90,7 +90,7 @@ func dispersalWrites(t *testing.T, key cryptoutil.KeyPair, item string, at uint6
 // path and asserts it was accepted.
 func (r *rig) plant(t *testing.T, i int, w *wire.SignedWrite) {
 	t.Helper()
-	if !r.servers[i].ApplyDisseminated(w) {
+	if r.servers[i].ApplyDisseminated(w) != 1 {
 		t.Fatalf("server %s rejected planted write for %q", r.names[i], w.Item)
 	}
 }
@@ -242,7 +242,7 @@ func TestForgedIndexRejected(t *testing.T) {
 	if w.Verify(r.ring, nil) == nil {
 		t.Fatal("forged-index fragment passed verification")
 	}
-	if r.servers[1].ApplyDisseminated(w) {
+	if r.servers[1].ApplyDisseminated(w) != 0 {
 		t.Fatal("server integrated a forged-index fragment")
 	}
 }

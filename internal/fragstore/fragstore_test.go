@@ -52,6 +52,21 @@ func (r *rig) store(t *testing.T, b, k int) *Store {
 	return s
 }
 
+// waitHeld waits, up to a bounded deadline, until every server holds its
+// share of the item, failing the test if one never does.
+func (r *rig) waitHeld(t *testing.T, item string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, srv := range r.servers {
+		for srv.Head("g", item) == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("server %s never received its share of %s", srv.ID(), item)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	r := newRig(t, 5)
 	s := r.store(t, 1, 2)

@@ -121,6 +121,10 @@ func TestHealthyReadContactsKPlusB(t *testing.T) {
 	if _, err := s.Write(ctx, "doc", data); err != nil {
 		t.Fatal(err)
 	}
+	// Write returns after k+b acks and fragments are not gossiped: wait
+	// (bounded) for the trailing share to land, so the read below sees
+	// the healthy all-n state it is meant to measure.
+	r.waitHeld(t, "doc")
 	gc.mu.Lock()
 	gc.valueSends = make(map[string]int)
 	gc.metaSends = make(map[string]int)

@@ -358,7 +358,8 @@ func (e *Engine) pushTo(parent context.Context, peer string) int {
 }
 
 // pullFrom fetches the peer's updates past our high-water mark and
-// applies them locally through full validation.
+// applies them locally through full validation, one page per batched
+// ingest.
 func (e *Engine) pullFrom(parent context.Context, peer string) int {
 	// A stale replica discards fresh updates (it serves only its oldest
 	// state), so pulling while stale would advance the high-water mark
@@ -411,11 +412,7 @@ func (e *Engine) pullFrom(parent context.Context, peer string) int {
 				e.recordExchange(peer, false)
 				return applied
 			}
-			for _, w := range pr.Writes {
-				if e.srv.ApplyDisseminated(w) {
-					applied++
-				}
-			}
+			applied += e.srv.ApplyDisseminated(pr.Writes...)
 			e.mu.Lock()
 			prev, seen := e.peerEpoch[peer]
 			e.peerEpoch[peer] = pr.Epoch

@@ -224,7 +224,7 @@ func TestPullRejectsTamperedUpdates(t *testing.T) {
 	w := &wire.SignedWrite{Group: "g", Item: "y", Stamp: timestamp.Stamp{Time: 1}, Value: []byte("forged")}
 	w.Sign(m.writer, nil)
 	w.Value = []byte("altered")
-	if m.servers[1].ApplyDisseminated(w) {
+	if m.servers[1].ApplyDisseminated(w) != 0 {
 		t.Fatal("tampered pulled write applied")
 	}
 	if m.servers[1].Head("g", "y") != nil {

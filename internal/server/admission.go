@@ -17,6 +17,9 @@ package server
 //     finishes (handoff), when the batch reaches the size cap, or after
 //     the flush deadline (~200µs) — whichever comes first. The deadline
 //     only bounds the wait; it is never an idle sleep.
+//   - A disseminated frame (handlers.go: ingest) submits the signatures
+//     of all its new writes at once: they join the open batch when they
+//     fit, open their own batch otherwise, and are cut at the cap.
 //
 // Ordering: admission never reorders effects. A write's admit call
 // returns only after its own batch verifies, and integration happens
@@ -76,22 +79,41 @@ func newAdmitter(ring *cryptoutil.Keyring, m *metrics.Counters, max int, wait ti
 	return &admitter{ring: ring, metrics: m, max: max, wait: wait}
 }
 
-// admit submits one signature-check triple and blocks until its batch is
-// verified, returning this item's verdict.
-func (a *admitter) admit(signer string, data, sig []byte) error {
+// admit verifies items through the batcher, writing each item's verdict
+// to the matching slot of errs, and returns once every one is decided.
+// A single request's check arrives as one item; a disseminated frame
+// arrives as many, which join the open batch when they fit and otherwise
+// open their own, so one frame of up to the cap verifies as one batch.
+// Larger submissions go through in cap-sized chunks, in order.
+func (a *admitter) admit(items []cryptoutil.BatchItem, errs []error) {
+	for len(items) > 0 {
+		n := min(len(items), a.max)
+		a.admitChunk(items[:n], errs[:n])
+		items, errs = items[n:], errs[n:]
+	}
+}
+
+// admitChunk submits at most a.max items as one unit of a batch.
+func (a *admitter) admitChunk(items []cryptoutil.BatchItem, errs []error) {
 	a.mu.Lock()
 	b := a.cur
+	if b != nil && len(b.items)+len(items) > a.max {
+		// No room: seal the open batch for its leader to flush now.
+		a.cur = nil
+		b.wake()
+		b = nil
+	}
 	if b == nil {
 		b = &admissionBatch{
-			items: make([]cryptoutil.BatchItem, 0, a.max),
+			items: make([]cryptoutil.BatchItem, 0, len(items)),
 			done:  make(chan struct{}),
 			kick:  make(chan struct{}, 1),
 		}
 		a.cur = b
 	}
-	idx := len(b.items)
-	b.items = append(b.items, cryptoutil.BatchItem{Signer: signer, Data: data, Sig: sig})
-	leader := idx == 0
+	off := len(b.items)
+	b.items = append(b.items, items...)
+	leader := off == 0
 	full := len(b.items) >= a.max
 	if full {
 		a.cur = nil // sealed: the next arrival opens a fresh batch
@@ -103,7 +125,8 @@ func (a *admitter) admit(signer string, data, sig []byte) error {
 			b.wake()
 		}
 		<-b.done
-		return b.errs[idx]
+		copy(errs, b.errs[off:])
+		return
 	}
 
 	// Leader. Give concurrently arriving requests one chance to join
@@ -132,7 +155,7 @@ func (a *admitter) admit(signer string, data, sig []byte) error {
 		}
 	}
 	a.flush(b)
-	return b.errs[idx]
+	copy(errs, b.errs)
 }
 
 // wake nudges the batch's leader without blocking; extra wakes are

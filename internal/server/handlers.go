@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"securestore/internal/accessctl"
+	"securestore/internal/cryptoutil"
 	"securestore/internal/sessionctx"
 	"securestore/internal/timestamp"
 	"securestore/internal/wire"
@@ -220,22 +221,19 @@ func (s *Server) handleLog(from string, r wire.LogReq, fault FaultMode) (wire.Re
 	return wire.LogResp{Writes: writes}, nil
 }
 
-// handleGossipPush applies disseminated writes from a peer server. Each
-// write carries its original client signature; forged or altered writes are
-// rejected, so "a faulty server cannot propagate a non-existent or forged
-// write" (Section 4).
+// handleGossipPush applies disseminated writes from a peer server through
+// the batched ingest. Each write carries its original client signature;
+// forged or altered writes are rejected, so "a faulty server cannot
+// propagate a non-existent or forged write" (Section 4). Applied counts
+// the writes accepted without error, exact duplicates of held writes
+// included.
 func (s *Server) handleGossipPush(from string, r wire.GossipPushReq, fault FaultMode) (wire.Response, error) {
 	if fault == Stale {
 		// Acks but ignores the updates, staying behind.
 		return wire.GossipPushResp{}, nil
 	}
-	applied := 0
-	for _, w := range r.Writes {
-		if _, err := s.acceptWrite(w, fault); err == nil {
-			applied++
-		}
-	}
 	_ = from // the push sender's identity does not matter: writes are self-verifying
+	applied, _ := s.ingest(r.Writes, fault)
 	return wire.GossipPushResp{Applied: applied}, nil
 }
 
@@ -262,10 +260,11 @@ func (s *Server) handleGossipPull(from string, r wire.GossipPullReq, fault Fault
 	return wire.GossipPullResp{Writes: writes, Seq: seq, Epoch: s.epoch.Load(), More: more, Cursor: cursor}, nil
 }
 
-// ApplyDisseminated validates and integrates one pulled write, reporting
-// whether it changed local state. The write is self-verifying, exactly as
-// in a push.
-func (s *Server) ApplyDisseminated(w *wire.SignedWrite) bool {
+// ApplyDisseminated validates and integrates pulled writes — one pulled
+// page — through the same batched ingest as a push, reporting how many
+// changed local state. The writes are self-verifying, exactly as in a
+// push.
+func (s *Server) ApplyDisseminated(ws ...*wire.SignedWrite) int {
 	if s.cfg.Persist != nil && s.cfg.Persist.NeedsCompaction() {
 		s.compact()
 	}
@@ -273,35 +272,127 @@ func (s *Server) ApplyDisseminated(w *wire.SignedWrite) bool {
 	defer s.stw.RUnlock()
 	fault := s.Fault()
 	if fault == Stale {
-		return false
+		return 0
 	}
-	changed, err := s.acceptWrite(w, fault)
-	return err == nil && changed
+	_, changed := s.ingest(ws, fault)
+	return changed
 }
 
-// acceptWrite validates a signed write and integrates it into local state:
-// verify signature (and multi-writer stamp discipline), update the per-item
-// head/log, apply causal gating, and append to the dissemination log. It
-// reports whether the write changed local state (a new head, log entry, or
-// newly gated pending write).
+// ingest validates and integrates a frame of disseminated writes (a
+// gossip push, or one pulled page) and reports how many were accepted
+// without error — exact duplicates included — and how many changed local
+// state. It is the one path for disseminated writes (DESIGN.md §7.11):
 //
-// Verification is pure crypto over the self-verifying write and runs with
-// no state lock held. Multi-writer CC groups then serialize on s.mw
-// (causal gating is a cross-item predicate); everything else goes straight
-// to the item's stripe.
-func (s *Server) acceptWrite(w *wire.SignedWrite, fault FaultMode) (bool, error) {
+//  1. A write equal in every signed field and in its signature to the
+//     item's held head or a multi-writer log entry is skipped before any
+//     crypto work: it was verified when it was integrated, and
+//     integrating it again changes nothing. Any other write — tampered,
+//     equivocating, or a replay under a new signature — takes the full
+//     path.
+//  2. The rest pass the shard and non-signature checks, and their
+//     signatures go to the admission stage as one submission, so a frame
+//     of new writes verifies as one batch. Verdicts stay per write.
+//  3. The verified writes integrate in frame order, so causal gating
+//     sees them in the same order as when each verified alone.
+func (s *Server) ingest(ws []*wire.SignedWrite, fault FaultMode) (accepted, changed int) {
+	var items []cryptoutil.BatchItem
+	var checked []*wire.SignedWrite // items[i] is checked[i]'s signature
+	for i, w := range ws {
+		if w == nil || s.checkOwned(w) != nil {
+			continue
+		}
+		if s.holds(w) {
+			accepted++
+			continue
+		}
+		signer, data, sig, err := w.SigCheck()
+		if err != nil {
+			continue
+		}
+		if items == nil { // a frame of duplicates allocates nothing
+			items = make([]cryptoutil.BatchItem, 0, len(ws)-i)
+			checked = make([]*wire.SignedWrite, 0, len(ws)-i)
+		}
+		items = append(items, cryptoutil.BatchItem{Signer: signer, Data: data, Sig: sig})
+		checked = append(checked, w)
+	}
+	if len(items) == 0 {
+		return accepted, 0
+	}
+	errs := make([]error, len(items))
+	s.verifyItems(items, errs)
+	for i, w := range checked {
+		if errs[i] != nil {
+			continue
+		}
+		if c, err := s.integrateVerified(w, fault); err == nil {
+			accepted++
+			if c {
+				changed++
+			}
+		}
+	}
+	return accepted, changed
+}
+
+// holds reports whether w equals, in every signed field and in its
+// signature, the item's held head or one of its multi-writer log
+// entries — writes that were verified when they were integrated.
+func (s *Server) holds(w *wire.SignedWrite) bool {
+	key := itemKey{group: w.Group, item: w.Item}
+	sp := s.stripeFor(key)
+	s.rlock(sp)
+	defer sp.mu.RUnlock()
+	st, ok := sp.items[key]
+	if !ok {
+		return false
+	}
+	if w.Equal(st.head) {
+		return true
+	}
+	for _, e := range st.log {
+		if w.Equal(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkOwned rejects a write for an item outside this replica's shard. A
+// healthy in-group peer never disseminates one, so it is either a
+// misconfigured peer or a malicious cross-shard push; rejecting it keeps
+// each group's state — and its causal gating — closed over the items it
+// owns.
+func (s *Server) checkOwned(w *wire.SignedWrite) error {
 	if s.cfg.Owns != nil && !s.cfg.Owns(w.Item) {
-		// A disseminated (or replayed) write for another shard's item: a
-		// healthy in-group peer never sends one, so this is either a
-		// misconfigured peer or a malicious cross-shard push. Rejecting it
-		// keeps each group's state — and its causal gating — closed over
-		// the items it owns.
 		s.cfg.Metrics.AddRoutingMismatch()
-		return false, fmt.Errorf("server %s: %q: %w", s.cfg.ID, w.Item, wire.ErrWrongShard)
+		return fmt.Errorf("server %s: %q: %w", s.cfg.ID, w.Item, wire.ErrWrongShard)
+	}
+	return nil
+}
+
+// acceptWrite validates a signed write and integrates it into local state
+// (integrateVerified). It reports whether the write changed local state
+// (a new head, log entry, or newly gated pending write). Verification is
+// pure crypto over the self-verifying write and runs with no state lock
+// held.
+func (s *Server) acceptWrite(w *wire.SignedWrite, fault FaultMode) (bool, error) {
+	if err := s.checkOwned(w); err != nil {
+		return false, err
 	}
 	if err := s.verifyWrite(w); err != nil {
 		return false, err
 	}
+	return s.integrateVerified(w, fault)
+}
+
+// integrateVerified integrates a write whose signature has been checked:
+// it enforces the multi-writer stamp discipline, updates the per-item
+// head/log, applies causal gating, and appends to the dissemination log,
+// reporting whether local state changed. Multi-writer CC groups
+// serialize on s.mw (causal gating is a cross-item predicate); everything
+// else goes straight to the item's stripe.
+func (s *Server) integrateVerified(w *wire.SignedWrite, fault FaultMode) (bool, error) {
 	if wire.IsFragmentEnvelope(w.Value) {
 		// Count accepted erasure-coded shares so operators can see the
 		// fragmented/replicated traffic split per replica.
@@ -367,16 +458,16 @@ func (s *Server) integrateOne(w *wire.SignedWrite, pol Policy) (bool, error) {
 	sp := s.stripeFor(key)
 	s.lock(sp)
 	defer sp.mu.Unlock()
-	fresh := freshLocked(sp, key, w, pol)
-	if fresh {
-		// Acknowledge only once durable: a crashed-and-recovered replica
-		// must still hold everything it acked (Section 4 safe keeping).
-		if err := s.persistWrite(w); err != nil {
-			return false, fmt.Errorf("persist write: %w", err)
-		}
+	if !freshLocked(sp, key, w, pol) {
+		return false, nil // nothing to persist, retain, or disseminate
+	}
+	// Acknowledge only once durable: a crashed-and-recovered replica
+	// must still hold everything it acked (Section 4 safe keeping).
+	if err := s.persistWrite(w); err != nil {
+		return false, fmt.Errorf("persist write: %w", err)
 	}
 	s.integrateLocked(sp, key, w, pol)
-	return fresh, nil
+	return true, nil
 }
 
 // freshLocked reports whether the validated write would change local
@@ -398,9 +489,10 @@ func freshLocked(sp *stripe, key itemKey, w *wire.SignedWrite, pol Policy) bool 
 	return true
 }
 
-// integrateLocked installs a validated, gating-cleared write. Caller holds
-// the key's stripe lock; the dissemination log's own mutex nests inside it
-// (stripe → dissem, never the reverse).
+// integrateLocked installs a validated, gating-cleared write that
+// freshLocked reported fresh (a stale one would change nothing, so it is
+// never cloned). Caller holds the key's stripe lock; the dissemination
+// log's own mutex nests inside it (stripe → dissem, never the reverse).
 func (s *Server) integrateLocked(sp *stripe, key itemKey, w *wire.SignedWrite, pol Policy) {
 	st, ok := sp.items[key]
 	if !ok {
@@ -437,11 +529,15 @@ func (s *Server) integrateLocked(sp *stripe, key itemKey, w *wire.SignedWrite, p
 		s.dissem.Lock()
 		s.dissem.updates = append(s.dissem.updates, clone)
 		s.dissem.seq++
-		if len(s.dissem.updates) > s.cfg.MaxUpdateLog {
-			// Trim the oldest entries; peers that were behind the trimmed
-			// tail get a state transfer from updatesSince.
-			drop := len(s.dissem.updates) - s.cfg.MaxUpdateLog
-			s.dissem.updates = append(s.dissem.updates[:0:0], s.dissem.updates[drop:]...)
+		if drop := len(s.dissem.updates) - s.cfg.MaxUpdateLog; drop > 0 {
+			// Slide the window past the oldest entries; peers that were
+			// behind the trimmed tail get a state transfer from
+			// updatesSince. Clearing the dropped slots lets their writes
+			// be collected; append copies the retained window into a new
+			// array only when the slid-past capacity runs out, not on
+			// every write.
+			clear(s.dissem.updates[:drop])
+			s.dissem.updates = s.dissem.updates[drop:]
 		}
 		s.dissem.Unlock()
 	}
@@ -518,8 +614,11 @@ func (s *Server) promotePending() {
 			if s.predecessorsArrived(w) {
 				key := itemKey{group: w.Group, item: w.Item}
 				sp := s.stripeFor(key)
+				pol := s.policy(w.Group)
 				s.lock(sp)
-				s.integrateLocked(sp, key, w, s.policy(w.Group))
+				if freshLocked(sp, key, w, pol) {
+					s.integrateLocked(sp, key, w, pol)
+				}
 				sp.mu.Unlock()
 				progressed = true
 			} else {

@@ -324,10 +324,24 @@ func New(cfg Config) *Server {
 // when enabled, falling back to the plain per-signature ring check. Both
 // paths consult and prime the keyring's verified-signature LRU.
 func (s *Server) verifyTriple(signer string, data, sig []byte) error {
+	items := [1]cryptoutil.BatchItem{{Signer: signer, Data: data, Sig: sig}}
+	var errs [1]error
+	s.verifyItems(items[:], errs[:])
+	return errs[0]
+}
+
+// verifyItems checks every signature triple, writing each verdict to the
+// matching slot of errs: one admission submission when batching is on
+// (so a disseminated frame verifies as one batch), one ring check per
+// item otherwise.
+func (s *Server) verifyItems(items []cryptoutil.BatchItem, errs []error) {
 	if s.admit != nil {
-		return s.admit.admit(signer, data, sig)
+		s.admit.admit(items, errs)
+		return
 	}
-	return s.cfg.Ring.Verify(signer, data, sig, s.cfg.Metrics)
+	for i, it := range items {
+		errs[i] = s.cfg.Ring.Verify(it.Signer, it.Data, it.Sig, s.cfg.Metrics)
+	}
 }
 
 // verifyWrite checks a signed write like wire.SignedWrite.Verify, with

@@ -92,7 +92,7 @@ func (v Vector) Equal(other Vector) bool {
 		return false
 	}
 	for item, ts := range v {
-		if other[item] != ts {
+		if o, ok := other[item]; !ok || o != ts {
 			return false
 		}
 	}

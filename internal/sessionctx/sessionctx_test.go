@@ -102,6 +102,18 @@ func TestDominates(t *testing.T) {
 	}
 }
 
+// TestEqualNamesItems: vectors of one size whose zero stamps sit under
+// different items are not equal — the item names are part of what a
+// signature covers.
+func TestEqualNamesItems(t *testing.T) {
+	if (Vector{"a": st(0)}).Equal(Vector{"b": st(0)}) {
+		t.Fatal("vectors over different items compare equal")
+	}
+	if !(Vector{"a": st(2), "b": st(0)}).Equal(Vector{"b": st(0), "a": st(2)}) {
+		t.Fatal("identical vectors compare unequal")
+	}
+}
+
 func TestCloneIsolation(t *testing.T) {
 	a := Vector{"x": st(1)}
 	b := a.Clone()

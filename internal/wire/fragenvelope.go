@@ -37,6 +37,11 @@ const fragMagic = "securestore-frag-v1\x00"
 // ErrBadEnvelope reports a malformed or inconsistent fragment envelope.
 var ErrBadEnvelope = errors.New("wire: malformed fragment envelope")
 
+// errNoMagic is parseFragmentEnvelope's verdict on a value without the
+// envelope magic: every replicated value, on every signing-bytes
+// derivation, so it is one preallocated error rather than a fresh one.
+var errNoMagic = fmt.Errorf("%w: missing magic", ErrBadEnvelope)
+
 // FragmentEnvelope is one dispersed share plus the self-verifying
 // cross-checksum of the whole dispersal.
 type FragmentEnvelope struct {
@@ -89,7 +94,7 @@ func (e *FragmentEnvelope) Encode() ([]byte, error) {
 // DecodeFragmentEnvelope.
 func parseFragmentEnvelope(data []byte) (*FragmentEnvelope, error) {
 	if !bytes.HasPrefix(data, []byte(fragMagic)) {
-		return nil, fmt.Errorf("%w: missing magic", ErrBadEnvelope)
+		return nil, errNoMagic
 	}
 	r := &bufReader{data: data, off: len(fragMagic)}
 	e := &FragmentEnvelope{}
@@ -129,9 +134,6 @@ func DecodeFragmentEnvelope(data []byte) (*FragmentEnvelope, error) {
 // fragment envelope — the strict test the data path uses to route a
 // stored value down the erasure-coded read path.
 func IsFragmentEnvelope(data []byte) bool {
-	if !bytes.HasPrefix(data, []byte(fragMagic)) {
-		return false
-	}
 	_, err := parseFragmentEnvelope(data)
 	return err == nil
 }

@@ -8,6 +8,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -261,6 +262,18 @@ func (w *SignedWrite) SigCheck() (signer string, data, sig []byte, err error) {
 		return "", nil, nil, fmt.Errorf("%w: item %s stamp %s", ErrDigest, w.Item, w.Stamp)
 	}
 	return w.Writer, w.signingBytes(valueDigest), w.Sig, nil
+}
+
+// Equal reports whether o is the same signed write: equal in every field
+// the signature covers (group, item, stamp, writer, writer context,
+// value) and in the signature bytes themselves.
+func (w *SignedWrite) Equal(o *SignedWrite) bool {
+	if w == nil || o == nil {
+		return w == o
+	}
+	return w.Group == o.Group && w.Item == o.Item && w.Stamp == o.Stamp &&
+		w.Writer == o.Writer && w.WriterCtx.Equal(o.WriterCtx) &&
+		bytes.Equal(w.Value, o.Value) && bytes.Equal(w.Sig, o.Sig)
 }
 
 // Clone returns a deep copy of the write. The cached canonical encoding
